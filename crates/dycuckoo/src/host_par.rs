@@ -4,8 +4,9 @@
 //! the sim backend's decision core — [`crate::table`]'s `TableShape`
 //! (hash parameters, candidate routing, eviction destinations) and
 //! [`crate::distribute`]'s Theorem-1 steering — but executes against the
-//! engine's lock-striped store ([`StripedStore`]) with
-//! `std::thread::scope` workers instead of simulated warps, so throughput
+//! engine's lock-striped store ([`StripedStore`]: flat atomic lanes per
+//! subtable, one writer mutex per stripe) with `std::thread::scope`
+//! workers instead of simulated warps, so throughput
 //! is bounded by the host machine, not by the model.
 //!
 //! ## Concurrency protocol
@@ -25,10 +26,21 @@
 //!   conflict-free subtable doubling when a chain exhausts
 //!   `eviction_limit` — the quiesce-point analogue of the sim backend's
 //!   upsize-and-retry.
-//! * **Find / delete.** Per-key, single-bucket critical sections: a find
-//!   probes candidates in order under their stripe guards; a delete's
+//! * **Find.** Lock-free: a find probes its candidate buckets in order
+//!   with plain relaxed loads and takes no stripe guard. This is sound
+//!   because [`ParTable::find_batch`] takes `&mut self`, so no insert or
+//!   delete can run beside it, and the previous batch's join orders every
+//!   write before the finds. `LockFailures` therefore counts writer
+//!   contention only. If `find_batch` ever becomes `&self` (finds beside
+//!   writers), each bucket needs a version word that a reader checks
+//!   around its probe, or a find could pair a key with another's value.
+//! * **Delete.** A per-key, single-bucket critical section: the
 //!   probe-and-erase happens under one guard, so double deletes of the
 //!   same key serialize and erase exactly once.
+//! * **Workers.** Every batch splits its keys into one contiguous chunk
+//!   per thread. The first chunk runs on the calling thread, the rest on
+//!   `threads − 1` scoped workers, all through one helper whose join is
+//!   the single place a worker panic surfaces.
 //!
 //! ## Determinism boundary
 //!
@@ -57,10 +69,59 @@ use crate::hashfn::splitmix64;
 use crate::rmw::MergeRule;
 use crate::table::{TableShape, MAX_INSERT_RETRIES};
 
-/// What one insert worker hands back at the join: its overflow keys (in
-/// chunk order), inserted/updated counts, and its private metrics and
-/// attribution windows for the quiesce-point merge.
-type InsertWindow = (Vec<(u32, u32)>, u64, u64, Metrics, Option<Attribution>);
+/// What one insert chunk hands back at the join: its overflow keys (in
+/// chunk order) and its inserted/updated counts.
+type InsertWindow = (Vec<(u32, u32)>, u64, u64);
+
+/// Run `work` over `items` split into one contiguous chunk per thread:
+/// the first chunk on the calling thread, the others on `threads − 1`
+/// scoped workers. Each chunk charges a private [`Metrics`] (and, while
+/// profiling, its thread's attribution window); at the quiesce point they
+/// are merged into `metrics` / `attribution` in chunk order, and the
+/// chunk results come back in the same order. This is the one join site,
+/// so a worker's panic surfaces here.
+fn run_chunked<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    profile: bool,
+    metrics: &mut Metrics,
+    attribution: &mut Attribution,
+    work: impl Fn(&[T], &mut Metrics) -> R + Sync,
+) -> Vec<R> {
+    let run = |chunk: &[T]| {
+        if profile {
+            attr::start();
+        }
+        let mut m = Metrics::default();
+        let r = work(chunk, &mut m);
+        (r, m, profile.then(attr::stop))
+    };
+    let run = &run;
+    let mut chunks = items.chunks(items.len().div_ceil(threads).max(1));
+    let first = chunks.next();
+    let windows: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = chunks.map(|c| scope.spawn(move || run(c))).collect();
+        first
+            .map(run)
+            .into_iter()
+            .chain(
+                workers
+                    .into_iter()
+                    .map(|h| h.join().expect("host-par worker panicked")),
+            )
+            .collect()
+    });
+    windows
+        .into_iter()
+        .map(|(r, m, a)| {
+            metrics.merge(&m);
+            if let Some(a) = a {
+                attribution.merge(&a);
+            }
+            r
+        })
+        .collect()
+}
 
 /// What one batch did, from the caller's point of view.
 ///
@@ -83,7 +144,7 @@ pub struct ParReport {
 /// locking protocol and the determinism boundary.
 pub struct ParTable {
     shape: TableShape,
-    tables: Vec<StripedStore<u32, u32>>,
+    tables: Vec<StripedStore>,
     threads: usize,
     buckets_per_stripe: usize,
     metrics: Metrics,
@@ -102,7 +163,7 @@ enum Placed {
 /// Candidate-stripe guards held in canonical `(table, stripe)` order.
 struct CandGuards<'a> {
     keys: Vec<(usize, usize)>,
-    guards: Vec<StripeGuard<'a, u32, u32>>,
+    guards: Vec<StripeGuard<'a>>,
 }
 
 impl<'a> CandGuards<'a> {
@@ -110,11 +171,7 @@ impl<'a> CandGuards<'a> {
     /// voter-style: a failed `try_lock` is charged as a lock failure,
     /// then the worker blocks on the same stripe (order is preserved, so
     /// the protocol stays deadlock-free).
-    fn acquire(
-        tables: &'a [StripedStore<u32, u32>],
-        mut keys: Vec<(usize, usize)>,
-        m: &mut Metrics,
-    ) -> Self {
+    fn acquire(tables: &'a [StripedStore], mut keys: Vec<(usize, usize)>, m: &mut Metrics) -> Self {
         keys.sort_unstable();
         keys.dedup();
         let guards = keys
@@ -130,7 +187,7 @@ impl<'a> CandGuards<'a> {
         Self { keys, guards }
     }
 
-    fn guard_mut(&mut self, t: usize, s: usize) -> &mut StripeGuard<'a, u32, u32> {
+    fn guard_mut(&mut self, t: usize, s: usize) -> &mut StripeGuard<'a> {
         let i = self
             .keys
             .iter()
@@ -147,7 +204,7 @@ impl<'a> CandGuards<'a> {
 /// candidates overflow to the drain.
 fn par_insert_one(
     shape: &TableShape,
-    tables: &[StripedStore<u32, u32>],
+    tables: &[StripedStore],
     key: u32,
     val: u32,
     rule: MergeRule,
@@ -311,9 +368,9 @@ impl ParTable {
 
     /// Enable/disable per-thread cost attribution. While enabled, batch
     /// calls own the **calling thread's** thread-local `obs::attr` state
-    /// during the sequential drain (an active caller profiler would be
-    /// clobbered), and every worker's attribution window is merged into
-    /// [`ParTable::take_attribution`].
+    /// while it runs the first chunk and the sequential drain (an active
+    /// caller profiler would be clobbered), and every chunk's attribution
+    /// window is merged into [`ParTable::take_attribution`].
     pub fn set_profiling(&mut self, on: bool) {
         self.profile = on;
     }
@@ -326,11 +383,6 @@ impl ParTable {
 
     fn bucket_of(&self, t: usize, key: u32) -> usize {
         self.shape.hashes[t].bucket(key, self.tables[t].n_buckets())
-    }
-
-    /// Chunk length that spreads `n` items over the worker threads.
-    fn chunk_len(&self, n: usize) -> usize {
-        n.div_ceil(self.threads).max(1)
     }
 
     /// Insert (upsert) a batch. Concurrent phase on scoped worker
@@ -373,44 +425,30 @@ impl ParTable {
         let shape = &self.shape;
         let tables = &self.tables;
         let profile = self.profile;
-        let results: Vec<InsertWindow> = std::thread::scope(|scope| {
-            let handles: Vec<_> = kvs
-                .chunks(self.chunk_len(kvs.len()))
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        if profile {
-                            attr::start();
-                        }
-                        let mut m = Metrics::default();
-                        let mut overflow = Vec::new();
-                        let (mut inserted, mut updated) = (0u64, 0u64);
-                        for &(k, v) in chunk {
-                            match par_insert_one(shape, tables, k, v, rule, &mut m) {
-                                Placed::Updated => updated += 1,
-                                Placed::Inserted => inserted += 1,
-                                Placed::Overflow => overflow.push((k, v)),
-                            }
-                        }
-                        let a = profile.then(attr::stop);
-                        (overflow, inserted, updated, m, a)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("host-par insert worker panicked"))
-                .collect()
-        });
-        // Quiesce point: merge per-thread windows in thread-index order
-        // and collect the overflow in the same order.
+        let results: Vec<InsertWindow> = run_chunked(
+            kvs,
+            self.threads,
+            profile,
+            &mut self.metrics,
+            &mut self.attribution,
+            |chunk, m| {
+                let mut overflow = Vec::new();
+                let (mut inserted, mut updated) = (0u64, 0u64);
+                for &(k, v) in chunk {
+                    match par_insert_one(shape, tables, k, v, rule, m) {
+                        Placed::Updated => updated += 1,
+                        Placed::Inserted => inserted += 1,
+                        Placed::Overflow => overflow.push((k, v)),
+                    }
+                }
+                (overflow, inserted, updated)
+            },
+        );
+        // Quiesce point: collect the overflow in chunk order.
         let mut overflow = Vec::new();
-        for (chunk_overflow, inserted, updated, m, a) in results {
+        for (chunk_overflow, inserted, updated) in results {
             report.inserted += inserted;
             report.updated += updated;
-            self.metrics.merge(&m);
-            if let Some(a) = a {
-                self.attribution.merge(&a);
-            }
             overflow.extend(chunk_overflow);
         }
         // Sequential drain: eviction chains and grows, one thread, locks
@@ -555,135 +593,80 @@ impl ParTable {
     }
 
     /// Look up a batch of keys on the worker threads; results align with
-    /// `keys`. Key 0 (the empty sentinel) always misses.
+    /// `keys`. Key 0 (the empty sentinel) always misses. Lock-free:
+    /// `&mut self` keeps every writer out while the probes run.
     pub fn find_batch(&mut self, keys: &[u32]) -> Vec<Option<u32>> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
         let shape = &self.shape;
         let tables = &self.tables;
-        let profile = self.profile;
-        let results: Vec<(Vec<Option<u32>>, Metrics, Option<Attribution>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = keys
-                    .chunks(self.chunk_len(keys.len()))
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            if profile {
-                                attr::start();
+        let outs = run_chunked(
+            keys,
+            self.threads,
+            self.profile,
+            &mut self.metrics,
+            &mut self.attribution,
+            |chunk, m| {
+                chunk
+                    .iter()
+                    .map(|&key| {
+                        if key == 0 {
+                            return None;
+                        }
+                        let mut hit = None;
+                        for t in shape.candidates(key).iter() {
+                            let b = shape.hashes[t].bucket(key, tables[t].n_buckets());
+                            m.charge(ChargeKind::Lookups, 1);
+                            hit = tables[t].read_unlocked(b, key);
+                            if hit.is_some() {
+                                break;
                             }
-                            let mut m = Metrics::default();
-                            let out = chunk
-                                .iter()
-                                .map(|&key| {
-                                    if key == 0 {
-                                        return None;
-                                    }
-                                    let mut hit = None;
-                                    for t in shape.candidates(key).iter() {
-                                        let b = shape.hashes[t].bucket(key, tables[t].n_buckets());
-                                        m.charge(ChargeKind::Lookups, 1);
-                                        let g = match tables[t]
-                                            .try_lock_stripe(tables[t].stripe_of(b))
-                                        {
-                                            Some(g) => g,
-                                            None => {
-                                                m.charge(ChargeKind::LockFailures, 1);
-                                                tables[t].lock_stripe(tables[t].stripe_of(b))
-                                            }
-                                        };
-                                        if let Some(s) = g.find_slot(b, key) {
-                                            hit = Some(g.slot(b, s).1);
-                                            break;
-                                        }
-                                    }
-                                    m.charge(ChargeKind::Ops, 1);
-                                    hit
-                                })
-                                .collect();
-                            let a = profile.then(attr::stop);
-                            (out, m, a)
-                        })
+                        }
+                        m.charge(ChargeKind::Ops, 1);
+                        hit
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("host-par find worker panicked"))
-                    .collect()
-            });
-        let mut out = Vec::with_capacity(keys.len());
-        for (chunk_out, m, a) in results {
-            out.extend(chunk_out);
-            self.metrics.merge(&m);
-            if let Some(a) = a {
-                self.attribution.merge(&a);
-            }
-        }
-        out
+                    .collect::<Vec<_>>()
+            },
+        );
+        outs.concat()
     }
 
     /// Delete a batch of keys on the worker threads, returning how many
     /// live keys were erased. Probe-and-erase is a single critical
     /// section per bucket, so duplicate keys in one batch erase once.
     pub fn delete_batch(&mut self, keys: &[u32]) -> u64 {
-        if keys.is_empty() {
-            return 0;
-        }
         let shape = &self.shape;
         let tables = &self.tables;
-        let profile = self.profile;
-        let results: Vec<(u64, Metrics, Option<Attribution>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = keys
-                .chunks(self.chunk_len(keys.len()))
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        if profile {
-                            attr::start();
+        let erased = run_chunked(
+            keys,
+            self.threads,
+            self.profile,
+            &mut self.metrics,
+            &mut self.attribution,
+            |chunk, m| {
+                let mut erased = 0u64;
+                for &key in chunk {
+                    if key == 0 {
+                        continue;
+                    }
+                    for t in shape.candidates(key).iter() {
+                        let b = shape.hashes[t].bucket(key, tables[t].n_buckets());
+                        m.charge(ChargeKind::Lookups, 1);
+                        let stripe = tables[t].stripe_of(b);
+                        let mut g = tables[t].try_lock_stripe(stripe).unwrap_or_else(|| {
+                            m.charge(ChargeKind::LockFailures, 1);
+                            tables[t].lock_stripe(stripe)
+                        });
+                        if let Some(s) = g.find_slot(b, key) {
+                            g.erase(b, s);
+                            erased += 1;
+                            break;
                         }
-                        let mut m = Metrics::default();
-                        let mut erased = 0u64;
-                        for &key in chunk {
-                            if key == 0 {
-                                continue;
-                            }
-                            for t in shape.candidates(key).iter() {
-                                let b = shape.hashes[t].bucket(key, tables[t].n_buckets());
-                                m.charge(ChargeKind::Lookups, 1);
-                                let mut g = match tables[t].try_lock_stripe(tables[t].stripe_of(b))
-                                {
-                                    Some(g) => g,
-                                    None => {
-                                        m.charge(ChargeKind::LockFailures, 1);
-                                        tables[t].lock_stripe(tables[t].stripe_of(b))
-                                    }
-                                };
-                                if let Some(s) = g.find_slot(b, key) {
-                                    g.erase(b, s);
-                                    erased += 1;
-                                    break;
-                                }
-                            }
-                            m.charge(ChargeKind::Ops, 1);
-                        }
-                        let a = profile.then(attr::stop);
-                        (erased, m, a)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("host-par delete worker panicked"))
-                .collect()
-        });
-        let mut erased = 0;
-        for (n, m, a) in results {
-            erased += n;
-            self.metrics.merge(&m);
-            if let Some(a) = a {
-                self.attribution.merge(&a);
-            }
-        }
-        erased
+                    }
+                    m.charge(ChargeKind::Ops, 1);
+                }
+                erased
+            },
+        );
+        erased.iter().sum()
     }
 
     /// All live `(key, value)` pairs (unordered across subtables;
@@ -826,6 +809,34 @@ mod tests {
         t.verify().unwrap();
         let got = t.find_batch(&kvs.iter().map(|&(k, _)| k).collect::<Vec<_>>());
         assert!(got.iter().all(|g| g.is_some()));
+    }
+
+    #[test]
+    fn coarse_stripes_with_fp_lane_grow_and_read_back_lock_free() {
+        // 4 buckets per stripe over 4-bucket subtables: every subtable
+        // starts as one stripe, so 8 threads contend on few locks, and
+        // 3000 keys overflow into the drain and grow.
+        let cfg = Config {
+            layout: gpu_sim::LayoutConfig::default().with_fp(8),
+            ..cfg()
+        };
+        let mut t = ParTable::with_striping(cfg, 8, 4).unwrap();
+        let kvs: Vec<(u32, u32)> = (1..=3000u32).map(|k| (k, k ^ 0xABCD)).collect();
+        let r = t.insert_batch(&kvs).unwrap();
+        assert_eq!(r.inserted, 3000);
+        assert!(r.overflowed > 0, "3000 keys into 512 slots must overflow");
+        assert!(r.grows > 0, "3000 keys into 512 slots must grow");
+        t.verify().unwrap();
+        t.take_metrics();
+        let keys: Vec<u32> = kvs.iter().map(|&(k, _)| k).collect();
+        let got = t.find_batch(&keys);
+        for (&(k, v), g) in kvs.iter().zip(&got) {
+            assert_eq!(*g, Some(v), "key {k}");
+        }
+        // Finds take no stripe lock, so they can never fail to get one.
+        let m = t.take_metrics();
+        assert_eq!(m.ops, 3000);
+        assert_eq!(m.lock_failures, 0);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   eviction-destination steering.
 //! * [`sizing`] — capacity sizing (buckets for a target filled factor)
 //!   shared by all schemes and bucket widths.
-//! * [`striped`] — the lock-striped, thread-safe access mode of the
-//!   bucketized store that the `host-par` backend runs real OS threads
-//!   against (the sim path keeps the round scheduler's atomic locks).
+//! * [`striped`] — the thread-safe access mode of the bucketized store
+//!   that the `host-par` backend runs real OS threads against: flat
+//!   atomic lanes, a writer lock per stripe, lock-free reads (the sim
+//!   path keeps the round scheduler's atomic locks).
 //!
 //! The default layout reproduces the pre-engine accounting exactly, so the
 //! schedule-fuzz digests and telemetry snapshots pin the refactor as

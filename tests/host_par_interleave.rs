@@ -12,6 +12,14 @@
 //!    inserting the same key can never both claim a slot (the voter-insert
 //!    semantics of the sim kernel, `ops::insert`).
 //!
+//! Only writers follow these rules. Finds take no stripe lock at all:
+//! `ParTable::find_batch` takes `&mut self`, so no insert or delete runs
+//! beside its probes, and `LockFailures` counts writer contention only.
+//! A worker's panic surfaces at the batch's single join site. If finds
+//! ever ran beside writers (a `&self` `find_batch`), the lock-free read
+//! would need a per-bucket version check — a protocol these models do
+//! not cover.
+//!
 //! Real mutexes cannot be exhaustively schedule-explored, so these tests
 //! model the protocol on the vendored [`interleave`] explorer: locks are
 //! boolean flags, buckets are one-slot `Option`s, and every interleaving
