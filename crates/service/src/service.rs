@@ -7,27 +7,41 @@
 //!    control against that shard's queue. Refusals return a typed
 //!    [`AdmitError`]; admitted requests enter the shard's FIFO.
 //! 2. [`KvService::tick`] advances the simulated clock one step. Each shard
-//!    flushes while its queue holds a full batch (`max_batch`), or when its
-//!    oldest request has waited `max_delay_ticks` — size-or-deadline
-//!    batching on the deterministic clock.
-//! 3. A flush compiles its window with [`crate::batcher::plan_flush`],
-//!    runs at most one find / one insert / one delete kernel against the
-//!    shard's table, and emits [`Completion`]s in submission order.
+//!    queue (fixed tier, then byte tier) flushes while it holds a full
+//!    batch (`max_batch`), or when its oldest request has waited
+//!    `max_delay_ticks` — size-or-deadline batching on the deterministic
+//!    clock.
+//! 3. A fixed-tier flush compiles its window with
+//!    [`crate::batcher::plan_flush`] and runs at most one find, one insert
+//!    and one delete kernel against the shard's table, plus the RMW upsert
+//!    waves: one upsert kernel per merge rule and chain position. A byte
+//!    window runs one kernel per maximal same-kind run of its requests.
+//!    Either way the window's [`Completion`]s come out in submission order.
+//!    A table error fails only its own window: `tick` and `flush_all` still
+//!    flush every other due window and run the migration pumps, then
+//!    return the first error.
 //! 4. [`KvService::drain_completions`] hands finished requests back.
+//!
+//! Every window of both tiers goes through one executor: cut the due
+//! windows, run each window's kernel section, then apply the finished
+//! window (metrics, replies, completions, miss-filter replay) in flush
+//! order. The [`Backend`] decides only where a fixed-tier kernel section
+//! runs: inline on the caller's context under [`Backend::Sim`], on a
+//! scoped worker thread under [`Backend::HostPar`].
 //!
 //! Kernel time is charged per flush in an **isolated metrics window** (the
 //! roofline cost model is non-linear, so per-flush ns must be computed on
 //! per-flush counters and then summed), after which the window is merged
 //! back into the caller's running totals.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use dycuckoo::hashfn::splitmix64;
 use dycuckoo::unsized_kv::MAX_BLOB_LEN;
 use dycuckoo::{
     Config, DyCuckoo, MergeRule, UnsizedConfig, UnsizedReport, UnsizedTable, UpsertReport,
 };
-use gpu_sim::{CostModel, SchedulePolicy, SimContext};
+use gpu_sim::{CostModel, Metrics, SchedulePolicy, SimContext};
 
 use crate::admission::{AdmissionPolicy, AdmitError};
 use crate::batcher::{plan_flush, FlushPlan, PlannedReply};
@@ -77,14 +91,15 @@ pub enum Backend {
     /// calling thread against the caller's [`SimContext`]. The historical
     /// (and default) mode — all pinned snapshots are produced here.
     Sim,
-    /// Real OS threads: each due shard's flush window runs on its own
-    /// scoped worker thread (at most `threads` concurrently) against a
-    /// per-shard persistent [`SimContext`] owned by the service. Replies,
-    /// completions, service metrics, and the caller's metric totals are
-    /// identical to [`Backend::Sim`] by construction — shards are fully
-    /// independent and results are applied in shard-visit order at the
-    /// join. Device-byte accounting lives in the per-shard contexts
-    /// instead of the caller's.
+    /// Real OS threads: each due shard's fixed-tier windows run on their
+    /// own scoped worker thread (at most `threads` concurrently) against a
+    /// per-shard persistent [`SimContext`] owned by the service; byte-tier
+    /// windows run on the caller's thread against the same per-shard
+    /// context. Replies, completions, spans, service metrics, and the
+    /// caller's metric totals are identical to [`Backend::Sim`] by
+    /// construction — shards are fully independent and every window is
+    /// applied in Sim's flush order after the join. Device-byte
+    /// accounting lives in the per-shard contexts instead of the caller's.
     HostPar {
         /// Maximum worker threads per flush wave (≥ 1).
         threads: usize,
@@ -320,10 +335,7 @@ impl KvService {
         };
         let mut shards = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
-            let build_sim: &mut SimContext = match shard_sims.get_mut(i) {
-                Some(s) => s,
-                None => &mut *sim,
-            };
+            let build_sim = kernel_sim(&mut shard_sims, i, sim);
             let table_cfg = Config {
                 seed: splitmix64(cfg.table.seed.wrapping_add(i as u64)),
                 migration_quantum: cfg.migration_quantum,
@@ -390,26 +402,10 @@ impl KvService {
     /// bound). Refusals are counted per shard.
     pub fn submit(&mut self, client: u32, op: Op) -> Result<u64, AdmitError> {
         let shard = self.router.shard_of(op.key());
-        let m = &mut self.metrics.per_shard[shard];
-        m.submitted += 1;
+        self.metrics.per_shard[shard].submitted += 1;
         let depth = self.shards[shard].queue.len();
-        match self.admission.admit(shard, depth, &op) {
-            Ok(()) => {}
-            Err(e) => {
-                match e {
-                    AdmitError::Overloaded { .. } => m.shed_overloaded += 1,
-                    AdmitError::Shed { .. } => m.shed_reads += 1,
-                    AdmitError::ZeroKey => {}
-                }
-                if obs::is_enabled() && !matches!(e, AdmitError::ZeroKey) {
-                    obs::emit(obs::Event::Shed {
-                        shard: shard as u32,
-                        depth: depth as u32,
-                        hard: matches!(e, AdmitError::Overloaded { .. }),
-                    });
-                }
-                return Err(e);
-            }
+        if let Err(e) = self.admission.admit(shard, depth, &op) {
+            return Err(self.refuse(shard, depth, e));
         }
         // Miss shield: a Get whose key the filter provably excludes — and
         // for which no write is queued in this shard's window (those are
@@ -424,6 +420,7 @@ impl KvService {
             if !write_pending && !filter.may_contain(key) {
                 let id = self.next_id;
                 self.next_id += 1;
+                let m = &mut self.metrics.per_shard[shard];
                 m.admitted += 1;
                 m.completed += 1;
                 m.filter_shed += 1;
@@ -446,16 +443,13 @@ impl KvService {
                 return Ok(id);
             }
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.enqueue_id(shard, depth);
         self.shards[shard].queue.push_back(Pending {
             id,
             client,
             op,
             submitted_tick: self.clock,
         });
-        m.admitted += 1;
-        m.max_queue_depth = m.max_queue_depth.max(depth + 1);
         Ok(id)
     }
 
@@ -479,35 +473,49 @@ impl KvService {
             });
         }
         let shard = self.router.shard_of_bytes(op.key());
-        let m = &mut self.metrics.per_shard[shard];
-        m.submitted += 1;
+        self.metrics.per_shard[shard].submitted += 1;
         let depth = self.shards[shard].byte_queue.len();
         if let Err(e) = self.admission.admit_depth(shard, depth, op.is_read()) {
-            match e {
-                AdmitError::Overloaded { .. } => m.shed_overloaded += 1,
-                AdmitError::Shed { .. } => m.shed_reads += 1,
-                AdmitError::ZeroKey => {}
-            }
-            if obs::is_enabled() {
-                obs::emit(obs::Event::Shed {
-                    shard: shard as u32,
-                    depth: depth as u32,
-                    hard: matches!(e, AdmitError::Overloaded { .. }),
-                });
-            }
-            return Err(ServiceError::Admit(e));
+            return Err(ServiceError::Admit(self.refuse(shard, depth, e)));
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.enqueue_id(shard, depth);
         self.shards[shard].byte_queue.push_back(BytePending {
             id,
             client,
             op,
             submitted_tick: self.clock,
         });
+        Ok(id)
+    }
+
+    /// Count an admission refusal against `shard` (whose queue held
+    /// `depth` requests) and trace it. A zero key is refused without
+    /// counting as shed.
+    fn refuse(&mut self, shard: usize, depth: usize, e: AdmitError) -> AdmitError {
+        let m = &mut self.metrics.per_shard[shard];
+        match e {
+            AdmitError::Overloaded { .. } => m.shed_overloaded += 1,
+            AdmitError::Shed { .. } => m.shed_reads += 1,
+            AdmitError::ZeroKey => return e,
+        }
+        if obs::is_enabled() {
+            obs::emit(obs::Event::Shed {
+                shard: shard as u32,
+                depth: depth as u32,
+                hard: matches!(e, AdmitError::Overloaded { .. }),
+            });
+        }
+        e
+    }
+
+    /// Count a request admitted onto a `shard` queue that held `depth`
+    /// requests, and issue its id.
+    fn enqueue_id(&mut self, shard: usize, depth: usize) -> u64 {
+        let m = &mut self.metrics.per_shard[shard];
         m.admitted += 1;
         m.max_queue_depth = m.max_queue_depth.max(depth + 1);
-        Ok(id)
+        self.next_id += 1;
+        self.next_id - 1
     }
 
     /// Backpressure signal in `[0, 1]` for the shard owning `key`.
@@ -527,99 +535,58 @@ impl KvService {
     }
 
     /// Advance the simulated clock one tick, flushing **at most one batch
-    /// per shard**: a shard flushes when its queue holds a full batch or
+    /// per shard and tier**: a queue flushes when it holds a full batch or
     /// its oldest request hit the deadline. One-batch-per-tick is the
     /// service's capacity model — sustained offered load beyond
     /// `shards × max_batch` requests per tick builds queues until
     /// admission control sheds, instead of being absorbed instantly.
-    /// Returns the number of requests completed this tick.
+    /// Every due window is flushed and the migration pumps run even if a
+    /// window fails; the first error is returned after that. Returns the
+    /// number of requests completed this tick.
     pub fn tick(&mut self, sim: &mut SimContext) -> Result<usize, ServiceError> {
         self.clock += 1;
         obs::set_clock(self.clock);
-        let mut completed = 0;
-        // Queues cannot change mid-tick, so the due set is fixed up front;
-        // the Sim path flushes inline in visit order, the HostPar path
-        // fans the same set out to worker threads and applies results in
-        // the same order.
-        let mut due: Vec<usize> = Vec::new();
-        for shard in self.shard_visit_order() {
-            let queue = &self.shards[shard].queue;
-            let by_size = queue.len() >= self.cfg.max_batch;
-            let by_deadline = queue
-                .front()
-                .is_some_and(|p| self.clock - p.submitted_tick >= self.cfg.max_delay_ticks);
-            if !by_size && !by_deadline {
-                continue;
-            }
-            self.metrics.per_shard[shard].batches += 1;
-            if by_size {
-                self.metrics.per_shard[shard].flush_by_size += 1;
-            } else {
-                self.metrics.per_shard[shard].flush_by_deadline += 1;
-            }
-            due.push(shard);
-        }
-        match self.cfg.backend {
-            Backend::Sim => {
-                for shard in due {
-                    completed += self.flush(shard, sim)?;
-                }
-            }
-            Backend::HostPar { threads } => {
-                completed += self.flush_host_par(&due, threads, sim, false)?;
-            }
-        }
-        if self.cfg.tier == Tier::Unsized {
-            for shard in self.shard_visit_order() {
-                let queue = &self.shards[shard].byte_queue;
-                let by_size = queue.len() >= self.cfg.max_batch;
-                let by_deadline = queue
-                    .front()
-                    .is_some_and(|p| self.clock - p.submitted_tick >= self.cfg.max_delay_ticks);
-                if !by_size && !by_deadline {
-                    continue;
-                }
-                let m = &mut self.metrics.per_shard[shard];
-                m.batches += 1;
-                m.byte_batches += 1;
-                if by_size {
-                    m.flush_by_size += 1;
-                } else {
-                    m.flush_by_deadline += 1;
-                }
-                completed += self.flush_bytes(shard, sim)?;
-            }
-        }
-        self.pump_migrations(sim)?;
+        let cuts = self.cut_windows(false);
+        let flushed = self.flush_cuts(cuts, sim);
+        let pumped = self.pump_migrations(sim);
+        let completed = flushed?;
+        pumped?;
         Ok(completed)
+    }
+
+    /// Flush every shard's remaining queues regardless of size or deadline
+    /// (end-of-run drain), shard by shard, each shard's fixed-tier windows
+    /// before its byte windows. Advances the clock one tick. Like
+    /// [`KvService::tick`], a failed window does not stop the drain; the
+    /// first error is returned at the end.
+    pub fn flush_all(&mut self, sim: &mut SimContext) -> Result<usize, ServiceError> {
+        self.clock += 1;
+        obs::set_clock(self.clock);
+        let cuts = self.cut_windows(true);
+        self.flush_cuts(cuts, sim)
     }
 
     /// Pump one migration quantum on every shard with a resize in flight,
     /// so backlogs drain even on shards whose queues have gone idle. Each
     /// pump is charged on an isolated metrics window like a flush. A no-op
-    /// in stop-the-world mode (nothing is ever left in flight).
+    /// in stop-the-world mode (nothing is ever left in flight). A failed
+    /// pump does not stop the others; the first error is returned.
     fn pump_migrations(&mut self, sim: &mut SimContext) -> Result<(), ServiceError> {
-        let host_par = !self.shard_sims.is_empty();
+        let mut first_err: Option<ServiceError> = None;
         for shard in 0..self.shards.len() {
             if !self.shards[shard].table.migration_in_flight() {
                 continue;
             }
             let mut report = dycuckoo::BatchReport::default();
-            let (outcome, window_metrics) = {
-                let ksim: &mut SimContext = if host_par {
-                    &mut self.shard_sims[shard]
-                } else {
-                    &mut *sim
-                };
-                let saved = ksim.take_metrics();
-                let outcome = self.shards[shard].table.migrate_quantum(ksim, &mut report);
-                let wm = ksim.take_metrics();
-                ksim.metrics = saved;
-                (outcome, wm)
-            };
-            let pump_ns = CostModel::new(sim.device.config()).kernel_time_ns(&window_metrics);
-            sim.metrics.merge(&window_metrics);
-            outcome?;
+            let ksim = kernel_sim(&mut self.shard_sims, shard, sim);
+            let (outcome, window) = metered(ksim, |ksim| {
+                self.shards[shard].table.migrate_quantum(ksim, &mut report)
+            });
+            let pump_ns = charge_window(sim, &window);
+            if let Err(e) = outcome {
+                first_err.get_or_insert(e.into());
+                continue;
+            }
             let backlog = self.shards[shard].table.migration_backlog();
             let m = &mut self.metrics.per_shard[shard];
             m.service_ns += pump_ns;
@@ -632,98 +599,30 @@ impl KvService {
         // second, so a shard with both tiers mid-migration settles the
         // backlog gauge at the combined figure.
         for shard in 0..self.shards.len() {
-            let in_flight = self.shards[shard]
+            let Some(table) = self.shards[shard]
                 .unsized_table
-                .as_ref()
-                .is_some_and(|t| t.migration_in_flight());
-            if !in_flight {
+                .as_mut()
+                .filter(|t| t.migration_in_flight())
+            else {
                 continue;
-            }
-            let (outcome, window_metrics) = {
-                let ksim: &mut SimContext = if host_par {
-                    &mut self.shard_sims[shard]
-                } else {
-                    &mut *sim
-                };
-                let saved = ksim.take_metrics();
-                let outcome = self.shards[shard]
-                    .unsized_table
-                    .as_mut()
-                    .expect("checked in flight")
-                    .pump_migration(ksim);
-                let wm = ksim.take_metrics();
-                ksim.metrics = saved;
-                (outcome, wm)
             };
-            let pump_ns = CostModel::new(sim.device.config()).kernel_time_ns(&window_metrics);
-            sim.metrics.merge(&window_metrics);
-            let report = outcome?;
-            let stats = self.shards[shard]
-                .unsized_table
-                .as_ref()
-                .expect("checked in flight")
-                .stats();
-            let fixed_backlog = self.shards[shard].table.migration_backlog();
+            let ksim = kernel_sim(&mut self.shard_sims, shard, sim);
+            let (outcome, window) = metered(ksim, |ksim| table.pump_migration(ksim));
+            let pump_ns = charge_window(sim, &window);
+            let report = match outcome {
+                Ok(report) => report,
+                Err(e) => {
+                    first_err.get_or_insert(e.into());
+                    continue;
+                }
+            };
             let m = &mut self.metrics.per_shard[shard];
             m.service_ns += pump_ns;
             m.migration_chunks += 1;
             m.migration_moved += report.migrated_kvs;
-            m.migration_backlog = fixed_backlog + stats.migration_backlog;
-            m.arena_pages = stats.arena_pages;
-            m.arena_live_bytes = stats.arena_live_bytes;
-            m.arena_frag_bytes = stats.arena_frag_bytes;
+            self.refresh_byte_gauges(shard);
         }
-        Ok(())
-    }
-
-    /// Flush every shard's remaining queue regardless of size or deadline
-    /// (end-of-run drain). Advances the clock one tick.
-    pub fn flush_all(&mut self, sim: &mut SimContext) -> Result<usize, ServiceError> {
-        self.clock += 1;
-        obs::set_clock(self.clock);
-        let mut completed = 0;
-        if let Backend::HostPar { threads } = self.cfg.backend {
-            // Each worker drains its shard's whole queue, window by
-            // window; results are applied in visit order so completions
-            // come out exactly as the Sim path emits them.
-            let due: Vec<usize> = self
-                .shard_visit_order()
-                .into_iter()
-                .filter(|&s| !self.shards[s].queue.is_empty())
-                .collect();
-            for &shard in &due {
-                let windows = self.shards[shard].queue.len().div_ceil(self.cfg.max_batch) as u64;
-                let m = &mut self.metrics.per_shard[shard];
-                m.batches += windows;
-                m.flush_by_deadline += windows;
-            }
-            completed += self.flush_host_par(&due, threads, sim, true)?;
-            for shard in self.shard_visit_order() {
-                while !self.shards[shard].byte_queue.is_empty() {
-                    let m = &mut self.metrics.per_shard[shard];
-                    m.batches += 1;
-                    m.byte_batches += 1;
-                    m.flush_by_deadline += 1;
-                    completed += self.flush_bytes(shard, sim)?;
-                }
-            }
-            return Ok(completed);
-        }
-        for shard in self.shard_visit_order() {
-            while !self.shards[shard].queue.is_empty() {
-                self.metrics.per_shard[shard].batches += 1;
-                self.metrics.per_shard[shard].flush_by_deadline += 1;
-                completed += self.flush(shard, sim)?;
-            }
-            while !self.shards[shard].byte_queue.is_empty() {
-                let m = &mut self.metrics.per_shard[shard];
-                m.batches += 1;
-                m.byte_batches += 1;
-                m.flush_by_deadline += 1;
-                completed += self.flush_bytes(shard, sim)?;
-            }
-        }
-        Ok(completed)
+        first_err.map_or(Ok(()), Err)
     }
 
     /// The shard visitation order for this tick, per the configured
@@ -737,62 +636,207 @@ impl KvService {
         order
     }
 
-    /// Execute one flush window for `shard`. Charges kernel time on an
-    /// isolated metrics window (restored even on error paths).
-    fn flush(&mut self, shard: usize, sim: &mut SimContext) -> Result<usize, ServiceError> {
-        let window_len = self.shards[shard].queue.len().min(self.cfg.max_batch);
-        let window: Vec<Pending> = self.shards[shard].queue.drain(..window_len).collect();
-        let plan = plan_flush(&window);
-        let _attr = obs::attr::scope_with(|| format!("service/flush/shard{shard}"));
-        let recording = obs::is_enabled();
-        if recording {
-            obs::span_begin(obs::Event::BatchFlush {
-                shard: shard as u32,
-                window: window.len() as u32,
-                probes: plan.probes.len() as u32,
-                puts: (plan.puts.len() + plan.rmws.len()) as u32,
-                deletes: plan.deletes.len() as u32,
-                coalesced: (plan.coalesced_local + plan.dedup_saved + plan.writes_coalesced) as u32,
-            });
-        }
-
-        // Isolated measurement window: the roofline is non-linear, so this
-        // flush's ns must be computed on its own counters.
-        let saved = sim.take_metrics();
-        let run = |table: &mut DyCuckoo, sim: &mut SimContext| -> dycuckoo::Result<FlushKernels> {
-            let found = if plan.probes.is_empty() {
-                Vec::new()
-            } else {
-                table.find_batch(sim, &plan.probes)
-            };
-            let ins = if plan.puts.is_empty() {
-                None
-            } else {
-                Some(table.insert_batch(sim, &plan.puts)?)
-            };
-            let ups = run_rmw_waves(table, sim, &plan.rmws)?;
-            let del = if plan.deletes.is_empty() {
-                None
-            } else {
-                Some(table.delete_batch(sim, &plan.deletes)?)
-            };
-            Ok((found, ins, ups, del))
+    /// Cut this call's flush windows from the queues, in flush order, and
+    /// count them into `batches` / `flush_by_size` / `flush_by_deadline`.
+    /// A tick (`drain == false`) cuts one window from each due queue:
+    /// every due fixed-tier queue in visit order, then every due byte
+    /// queue. A drain cuts every queued request into windows, shard by
+    /// shard, each shard's fixed-tier windows before its byte windows.
+    /// Queues cannot change mid-call, so cutting up front is the same as
+    /// cutting each window at its turn.
+    fn cut_windows(&mut self, drain: bool) -> Vec<Cut> {
+        let order = self.shard_visit_order();
+        let tiers = [Tier::Fixed, Tier::Unsized];
+        let visits: Vec<(usize, Tier)> = if drain {
+            order.iter().flat_map(|&s| tiers.map(|t| (s, t))).collect()
+        } else {
+            tiers
+                .iter()
+                .flat_map(|&t| order.iter().map(move |&s| (s, t)))
+                .collect()
         };
-        let outcome = run(&mut self.shards[shard].table, sim);
-        let window_metrics = sim.take_metrics();
-        let flush_ns = CostModel::new(sim.device.config()).kernel_time_ns(&window_metrics);
-        sim.metrics = saved;
-        sim.metrics.merge(&window_metrics);
-        if recording {
-            // Close before the `?` so the span balances on kernel errors.
-            obs::span_end(obs::Event::BatchEnd {
-                completed: if outcome.is_ok() {
-                    window.len() as u32
-                } else {
-                    0
-                },
+        let max_batch = self.cfg.max_batch;
+        let mut cuts = Vec::new();
+        for (shard, tier) in visits {
+            let s = &mut self.shards[shard];
+            let (len, oldest) = match tier {
+                Tier::Fixed => (s.queue.len(), s.queue.front().map(|p| p.submitted_tick)),
+                Tier::Unsized => (
+                    s.byte_queue.len(),
+                    s.byte_queue.front().map(|p| p.submitted_tick),
+                ),
+            };
+            let by_size = !drain && len >= max_batch;
+            let windows = if drain {
+                len.div_ceil(max_batch)
+            } else {
+                let by_deadline =
+                    oldest.is_some_and(|t| self.clock - t >= self.cfg.max_delay_ticks);
+                usize::from(by_size || by_deadline)
+            };
+            if windows == 0 {
+                continue;
+            }
+            let m = &mut self.metrics.per_shard[shard];
+            m.batches += windows as u64;
+            if tier == Tier::Unsized {
+                m.byte_batches += windows as u64;
+            }
+            if by_size {
+                m.flush_by_size += windows as u64;
+            } else {
+                m.flush_by_deadline += windows as u64;
+            }
+            cuts.push(match tier {
+                Tier::Fixed => Cut::Fixed(
+                    shard,
+                    (0..windows)
+                        .map(|_| {
+                            let window = take_window(&mut s.queue, max_batch);
+                            PreparedWindow {
+                                plan: plan_flush(&window),
+                                window,
+                            }
+                        })
+                        .collect(),
+                ),
+                Tier::Unsized => Cut::Bytes(
+                    shard,
+                    (0..windows)
+                        .map(|_| take_window(&mut s.byte_queue, max_batch))
+                        .collect(),
+                ),
             });
         }
+        cuts
+    }
+
+    /// The window executor: flush `cuts` in order, applying each finished
+    /// window as it comes. A failed window does not stop the others; the
+    /// first error is returned once every window has been flushed.
+    fn flush_cuts(&mut self, cuts: Vec<Cut>, sim: &mut SimContext) -> Result<usize, ServiceError> {
+        // The one backend decision on the flush path: where fixed-tier
+        // kernel sections run. Sim runs each inline when its window is
+        // applied; HostPar runs them all up front on worker threads.
+        let mut worker_runs = match self.cfg.backend {
+            Backend::Sim => Vec::new(),
+            Backend::HostPar { threads } => self.run_on_workers(&cuts, threads),
+        }
+        .into_iter();
+        let mut completed = 0;
+        let mut first_err = None;
+        let mut tally = |outcome: Result<usize, ServiceError>| match outcome {
+            Ok(n) => completed += n,
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        };
+        for cut in cuts {
+            match cut {
+                Cut::Fixed(shard, windows) => {
+                    for w in windows {
+                        tally(self.flush(shard, w, worker_runs.next(), sim));
+                    }
+                }
+                Cut::Bytes(shard, windows) => {
+                    for w in windows {
+                        tally(self.flush_bytes(shard, w, sim));
+                    }
+                }
+            }
+        }
+        first_err.map_or(Ok(completed), Err)
+    }
+
+    /// The [`Backend::HostPar`] kernel section: every fixed-tier window of
+    /// `cuts` runs on a scoped worker thread against its shard's own
+    /// [`SimContext`], one worker per shard, at most `threads` at a time.
+    /// Each run carries the worker's own attribution window, which the
+    /// coordinator absorbs when it applies the window (`attr::start` and
+    /// `stop` are thread-local, so they are safe only on a worker). Runs
+    /// come back in cut order.
+    fn run_on_workers(
+        &mut self,
+        cuts: &[Cut],
+        threads: usize,
+    ) -> Vec<(KernelRun, obs::attr::Attribution)> {
+        let jobs: Vec<(usize, &[PreparedWindow])> = cuts
+            .iter()
+            .filter_map(|cut| match cut {
+                Cut::Fixed(shard, windows) => Some((*shard, windows.as_slice())),
+                Cut::Bytes(..) => None,
+            })
+            .collect();
+        let profile = obs::attr::is_enabled();
+        // Hand each worker exclusive &mut access to its shard's table and
+        // context; `take` makes aliasing impossible by construction.
+        let mut cells: Vec<Option<(&mut DyCuckoo, &mut SimContext)>> = self
+            .shards
+            .iter_mut()
+            .map(|s| &mut s.table)
+            .zip(self.shard_sims.iter_mut())
+            .map(Some)
+            .collect();
+        let mut runs = Vec::new();
+        for wave in jobs.chunks(threads.max(1)) {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = wave
+                    .iter()
+                    .map(|&(shard, windows)| {
+                        let (table, ksim) =
+                            cells[shard].take().expect("duplicate shard in flush wave");
+                        scope.spawn(move || {
+                            windows
+                                .iter()
+                                .map(|w| {
+                                    if profile {
+                                        obs::attr::start();
+                                    }
+                                    let run = run_window_kernels(table, ksim, &w.plan);
+                                    (run, obs::attr::stop())
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    runs.extend(handle.join().expect("host-par flush worker panicked"));
+                }
+            });
+        }
+        runs
+    }
+
+    /// Flush one fixed-tier window: its kernel section — run inline here,
+    /// or a worker's run absorbed — sits between the `BatchFlush` span's
+    /// begin and end. Then the one completion tail: per-shard metrics,
+    /// each [`PlannedReply`] mapped to its [`Reply`], completions in
+    /// submission order, and the miss-filter replay.
+    fn flush(
+        &mut self,
+        shard: usize,
+        PreparedWindow { window, plan }: PreparedWindow,
+        worker_run: Option<(KernelRun, obs::attr::Attribution)>,
+        sim: &mut SimContext,
+    ) -> Result<usize, ServiceError> {
+        let open = || obs::Event::BatchFlush {
+            shard: shard as u32,
+            window: window.len() as u32,
+            probes: plan.probes.len() as u32,
+            puts: (plan.puts.len() + plan.rmws.len()) as u32,
+            deletes: plan.deletes.len() as u32,
+            coalesced: (plan.coalesced_local + plan.dedup_saved + plan.writes_coalesced) as u32,
+        };
+        let (outcome, flush_ns) =
+            flush_span(shard, open, window.len(), sim, |sim| match worker_run {
+                Some((run, attr)) => {
+                    // Worker-side kernel charges re-root under this
+                    // flush's scope, so attribution paths match Sim's.
+                    obs::attr::absorb(&attr);
+                    run
+                }
+                None => run_window_kernels(&mut self.shards[shard].table, sim, &plan),
+            });
         let (found, ins, ups, del) = outcome?;
 
         let m = &mut self.metrics.per_shard[shard];
@@ -882,314 +926,53 @@ impl KvService {
         Ok(window.len())
     }
 
-    /// Execute the due shards' flush windows on worker threads (the
-    /// [`Backend::HostPar`] path). The coordinator compiles every window
-    /// up front, one worker per shard runs that shard's windows in order
-    /// against the shard's own [`SimContext`] (waves of at most
-    /// `threads` workers), and results are applied in visit order — so
-    /// replies, completions, per-shard metrics, spans, and the caller's
-    /// metric totals are identical to the Sim path by construction. With
-    /// `drain_all`, every shard's queue is drained to empty (the
-    /// [`KvService::flush_all`] contract); otherwise one window each.
-    fn flush_host_par(
-        &mut self,
-        due: &[usize],
-        threads: usize,
-        sim: &mut SimContext,
-        drain_all: bool,
-    ) -> Result<usize, ServiceError> {
-        if due.is_empty() {
-            return Ok(0);
-        }
-        let mut prepped: Vec<(usize, Vec<PreparedWindow>)> = Vec::with_capacity(due.len());
-        for &shard in due {
-            let mut windows = Vec::new();
-            loop {
-                let window_len = self.shards[shard].queue.len().min(self.cfg.max_batch);
-                let window: Vec<Pending> = self.shards[shard].queue.drain(..window_len).collect();
-                let plan = plan_flush(&window);
-                windows.push(PreparedWindow { window, plan });
-                if !drain_all || self.shards[shard].queue.is_empty() {
-                    break;
-                }
-            }
-            prepped.push((shard, windows));
-        }
-        let profile = obs::attr::is_enabled();
-        // Hand each worker exclusive &mut access to its shard's table and
-        // context; `take` makes aliasing impossible by construction.
-        let mut cells: Vec<Option<(&mut Shard, &mut SimContext)>> = self
-            .shards
-            .iter_mut()
-            .zip(self.shard_sims.iter_mut())
-            .map(Some)
-            .collect();
-        let mut results: Vec<Vec<FlushKernelResult>> = Vec::with_capacity(prepped.len());
-        for wave in prepped.chunks(threads.max(1)) {
-            let wave_results: Vec<Vec<FlushKernelResult>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|(shard, windows)| {
-                        let (shard_state, ksim) =
-                            cells[*shard].take().expect("duplicate shard in flush wave");
-                        scope.spawn(move || {
-                            windows
-                                .iter()
-                                .map(|w| {
-                                    run_flush_kernels(
-                                        &mut shard_state.table,
-                                        ksim,
-                                        &w.plan,
-                                        profile,
-                                    )
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("host-par flush worker panicked"))
-                    .collect()
-            });
-            results.extend(wave_results);
-        }
-        drop(cells);
-        let mut completed = 0;
-        for ((shard, windows), shard_results) in prepped.into_iter().zip(results) {
-            for (w, r) in windows.into_iter().zip(shard_results) {
-                completed += self.apply_flush(shard, w.window, w.plan, r, sim)?;
-            }
-        }
-        Ok(completed)
-    }
-
-    /// Coordinator-side application of one worker-run flush window:
-    /// metric merges, spans, attribution absorption, completions, filter
-    /// replay — the exact post-kernel tail of [`KvService::flush`],
-    /// executed in visit order at the quiesce point.
-    fn apply_flush(
+    /// Flush one byte-tier window. Its kernel section runs on the
+    /// coordinator under either backend, against the shard's kernel
+    /// context, one kernel batch per same-kind run of its
+    /// [`BytePlan`] (which also supplies the span's counts).
+    fn flush_bytes(
         &mut self,
         shard: usize,
-        window: Vec<Pending>,
-        plan: FlushPlan,
-        r: FlushKernelResult,
+        window: Vec<BytePending>,
         sim: &mut SimContext,
     ) -> Result<usize, ServiceError> {
-        // The caller's running totals receive the same isolated window
-        // the Sim path merges.
-        sim.metrics.merge(&r.window_metrics);
-        let _attr = obs::attr::scope_with(|| format!("service/flush/shard{shard}"));
-        // Worker-side kernel charges re-root under this flush's scope, so
-        // attribution paths match the Sim backend's exactly.
-        obs::attr::absorb(&r.attr);
-        let recording = obs::is_enabled();
-        if recording {
-            // Spans are emitted at the apply point (recorder state is
-            // thread-local, so workers cannot emit them); begin and end
-            // are adjacent because the kernel time already passed.
-            obs::span_begin(obs::Event::BatchFlush {
-                shard: shard as u32,
-                window: window.len() as u32,
-                probes: plan.probes.len() as u32,
-                puts: (plan.puts.len() + plan.rmws.len()) as u32,
-                deletes: plan.deletes.len() as u32,
-                coalesced: (plan.coalesced_local + plan.dedup_saved + plan.writes_coalesced) as u32,
-            });
-            obs::span_end(obs::Event::BatchEnd {
-                completed: if r.outcome.is_ok() {
-                    window.len() as u32
-                } else {
-                    0
-                },
-            });
-        }
-        let (found, ins, ups, del) = r.outcome?;
-
-        let m = &mut self.metrics.per_shard[shard];
-        m.batched_requests += window.len() as u64;
-        m.table_probes += plan.probes.len() as u64;
-        m.table_puts += (plan.puts.len() + plan.rmws.len()) as u64;
-        m.table_deletes += plan.deletes.len() as u64;
-        m.coalesced_local += plan.coalesced_local;
-        m.dedup_saved += plan.dedup_saved;
-        m.writes_coalesced += plan.writes_coalesced;
-        m.service_ns += r.flush_ns;
-        for report in [&ins, &del]
-            .into_iter()
-            .flatten()
-            .chain(ups.iter().map(|u| &u.batch))
-        {
-            m.resize_events += report.resizes.len() as u64;
-            m.insert_retries += report.retries as u64;
-            if report.resize_stall() {
-                m.resize_stall_batches += 1;
-            }
-            m.migration_moved += report.migrated_kvs;
-            if report.migrated_buckets > 0 {
-                m.migration_chunks += 1;
-            }
-        }
-        m.migration_backlog = self.shards[shard].table.migration_backlog();
-
-        let filter_on = self.shards[shard].filter.is_some();
-        let completed_tick = self.clock;
-        for (req, planned) in window.iter().zip(&plan.replies) {
-            let (reply, coalesced) = match planned {
-                PlannedReply::FromTable(idx) => {
-                    if filter_on && found[*idx].is_none() {
-                        m.filter_false_pos += 1;
-                    }
-                    (Reply::Value(found[*idx]), false)
-                }
-                PlannedReply::FromTableRmw(idx, chain) => (
-                    Reply::Value(MergeRule::apply_chain(chain, found[*idx])),
-                    false,
-                ),
-                PlannedReply::Local(v) => (Reply::Value(*v), true),
-                PlannedReply::Stored => (Reply::Stored, false),
-                PlannedReply::Deleted => (Reply::Deleted, false),
-                PlannedReply::Merged => (Reply::Merged, false),
-            };
-            m.completed += 1;
-            m.latency.record(completed_tick - req.submitted_tick);
-            self.completions.push_back(Completion {
-                id: req.id,
-                client: req.client,
-                key: req.op.key(),
-                reply,
-                submitted_tick: req.submitted_tick,
-                completed_tick,
-                coalesced,
-            });
-        }
-        if let Some(filter) = self.shards[shard].filter.as_mut() {
-            for req in &window {
-                match req.op {
-                    Op::Put(k, _) => filter.insert(k),
-                    Op::Delete(k) => filter.remove(k),
-                    Op::Upsert(k, _, _) | Op::Increment(k) => filter.insert(k),
-                    Op::Get(_) => {}
-                }
-            }
-            m.filter_keys = filter.keys();
-            m.filter_rebuilds = filter.rebuilds();
-        }
-        Ok(window.len())
-    }
-
-    /// Execute one byte-tier flush window for `shard`. The window is cut
-    /// into maximal runs of one op kind, each run becomes one kernel
-    /// batch (runs execute in submission order, so a read after a write
-    /// of the same key observes it), and duplicate keys inside a put run
-    /// coalesce to the last write. Kernel time is charged on an isolated
-    /// metrics window exactly like the fixed-tier flush.
-    fn flush_bytes(&mut self, shard: usize, sim: &mut SimContext) -> Result<usize, ServiceError> {
-        let window_len = self.shards[shard].byte_queue.len().min(self.cfg.max_batch);
-        let window: Vec<BytePending> = self.shards[shard].byte_queue.drain(..window_len).collect();
-        let _attr = obs::attr::scope_with(|| format!("service/flush/shard{shard}"));
-        let recording = obs::is_enabled();
-        if recording {
-            // Plan counts for the span: raw reads/deletes, deduped puts.
-            let (mut probes, mut puts, mut coalesced, mut deletes) = (0u32, 0u32, 0u32, 0u32);
-            let mut seen: HashSet<&[u8]> = HashSet::new();
-            let mut in_put_run = false;
-            for p in &window {
-                match &p.op {
-                    ByteOp::Put(k, _) => {
-                        if !in_put_run {
-                            seen.clear();
-                            in_put_run = true;
-                        }
-                        if seen.insert(k.as_slice()) {
-                            puts += 1;
-                        } else {
-                            coalesced += 1;
-                        }
-                    }
-                    ByteOp::Get(_) => {
-                        probes += 1;
-                        in_put_run = false;
-                    }
-                    ByteOp::Delete(_) => {
-                        deletes += 1;
-                        in_put_run = false;
-                    }
-                }
-            }
-            obs::span_begin(obs::Event::BatchFlush {
-                shard: shard as u32,
-                window: window.len() as u32,
-                probes,
-                puts,
-                deletes,
-                coalesced,
-            });
-        }
-
-        // Host-par services run byte-tier kernels on the shard's own
-        // context (coordinator thread, sequentially); Sim uses the
-        // caller's. Either way the isolated window merges into the
-        // caller's running totals.
-        let host_par = !self.shard_sims.is_empty();
-        let (outcome, window_metrics) = {
-            let ksim: &mut SimContext = if host_par {
-                &mut self.shard_sims[shard]
-            } else {
-                &mut *sim
-            };
-            let saved = ksim.take_metrics();
-            let outcome = run_byte_window(
-                self.shards[shard]
-                    .unsized_table
-                    .as_mut()
-                    .expect("byte flush requires the unsized tier"),
-                ksim,
-                &window,
-            );
-            let wm = ksim.take_metrics();
-            ksim.metrics = saved;
-            (outcome, wm)
+        let plan = BytePlan::new(&window);
+        let open = || obs::Event::BatchFlush {
+            shard: shard as u32,
+            window: window.len() as u32,
+            probes: plan.probes as u32,
+            puts: plan.puts as u32,
+            deletes: plan.deletes as u32,
+            coalesced: plan.writes_coalesced as u32,
         };
-        let flush_ns = CostModel::new(sim.device.config()).kernel_time_ns(&window_metrics);
-        sim.metrics.merge(&window_metrics);
-        if recording {
-            obs::span_end(obs::Event::BatchEnd {
-                completed: if outcome.is_ok() {
-                    window.len() as u32
-                } else {
-                    0
-                },
-            });
-        }
-        let out = outcome?;
+        let (outcome, flush_ns) = flush_span(shard, open, window.len(), sim, |sim| {
+            let table = self.shards[shard]
+                .unsized_table
+                .as_mut()
+                .expect("byte flush requires the unsized tier");
+            let ksim = kernel_sim(&mut self.shard_sims, shard, sim);
+            metered(ksim, |ksim| plan.run(table, ksim))
+        });
+        let (replies, report) = outcome?;
 
-        let stats = self.shards[shard]
-            .unsized_table
-            .as_ref()
-            .expect("present")
-            .stats();
-        let fixed_backlog = self.shards[shard].table.migration_backlog();
+        self.refresh_byte_gauges(shard);
         let m = &mut self.metrics.per_shard[shard];
         m.batched_requests += window.len() as u64;
-        m.table_probes += out.probes;
-        m.table_puts += out.puts;
-        m.table_deletes += out.deletes;
-        m.writes_coalesced += out.writes_coalesced;
+        m.table_probes += plan.probes;
+        m.table_puts += plan.puts;
+        m.table_deletes += plan.deletes;
+        m.writes_coalesced += plan.writes_coalesced;
         m.service_ns += flush_ns;
-        m.resize_events += out.report.resizes;
-        m.insert_retries += out.report.retries;
-        m.migration_moved += out.report.migrated_kvs;
-        if out.report.migrated_buckets > 0 {
+        m.resize_events += report.resizes;
+        m.insert_retries += report.retries;
+        m.migration_moved += report.migrated_kvs;
+        if report.migrated_buckets > 0 {
             m.migration_chunks += 1;
         }
-        m.migration_backlog = fixed_backlog + stats.migration_backlog;
-        m.arena_pages = stats.arena_pages;
-        m.arena_live_bytes = stats.arena_live_bytes;
-        m.arena_frag_bytes = stats.arena_frag_bytes;
 
         let completed_tick = self.clock;
-        for (req, reply) in window.into_iter().zip(out.replies) {
+        let len = window.len();
+        for (req, reply) in window.into_iter().zip(replies) {
             m.completed += 1;
             m.latency.record(completed_tick - req.submitted_tick);
             let key = match req.op {
@@ -1204,7 +987,23 @@ impl KvService {
                 completed_tick,
             });
         }
-        Ok(window_len)
+        Ok(len)
+    }
+
+    /// Refresh `shard`'s arena gauges and its migration-backlog gauge (the
+    /// sum over both tiers) after byte-tier work.
+    fn refresh_byte_gauges(&mut self, shard: usize) {
+        let s = &self.shards[shard];
+        let stats = s
+            .unsized_table
+            .as_ref()
+            .expect("byte-tier work requires the unsized tier")
+            .stats();
+        let m = &mut self.metrics.per_shard[shard];
+        m.migration_backlog = s.table.migration_backlog() + stats.migration_backlog;
+        m.arena_pages = stats.arena_pages;
+        m.arena_live_bytes = stats.arena_live_bytes;
+        m.arena_frag_bytes = stats.arena_frag_bytes;
     }
 
     /// Take every completion produced so far, in completion order
@@ -1272,18 +1071,12 @@ impl KvService {
         }
     }
 
-    /// Tear down, returning every shard's device memory to the simulator.
+    /// Tear down, returning every shard's device memory to the simulator
+    /// context it was allocated on.
     pub fn release(self, sim: &mut SimContext) -> Result<(), ServiceError> {
-        // Host-par shards allocated on their own contexts, so their bytes
-        // return there; Sim shards return to the caller's.
         let mut shard_sims = self.shard_sims;
-        let host_par = !shard_sims.is_empty();
         for (i, shard) in self.shards.into_iter().enumerate() {
-            let ksim: &mut SimContext = if host_par {
-                &mut shard_sims[i]
-            } else {
-                &mut *sim
-            };
+            let ksim = kernel_sim(&mut shard_sims, i, sim);
             shard.table.release(ksim)?;
             if let Some(t) = shard.unsized_table {
                 t.release(ksim)?;
@@ -1293,7 +1086,79 @@ impl KvService {
     }
 }
 
-/// One flush window, compiled by the coordinator and ready for kernels.
+/// The context a shard's kernels run on: the shard's own under
+/// [`Backend::HostPar`], the caller's under [`Backend::Sim`] (which keeps
+/// no shard contexts).
+fn kernel_sim<'a>(
+    shard_sims: &'a mut [SimContext],
+    shard: usize,
+    sim: &'a mut SimContext,
+) -> &'a mut SimContext {
+    shard_sims.get_mut(shard).unwrap_or(sim)
+}
+
+/// Run `f` on `ksim` in an isolated metrics window: the roofline cost
+/// model is non-linear, so a flush's time must be computed on its own
+/// counters. Returns `f`'s outcome and the window's charges, leaving
+/// `ksim.metrics` as it was (also on error paths).
+fn metered<T>(ksim: &mut SimContext, f: impl FnOnce(&mut SimContext) -> T) -> (T, Metrics) {
+    let saved = ksim.take_metrics();
+    let outcome = f(ksim);
+    let window = ksim.take_metrics();
+    ksim.metrics = saved;
+    (outcome, window)
+}
+
+/// Merge an isolated metrics window into the caller's running totals and
+/// return its roofline kernel time.
+fn charge_window(sim: &mut SimContext, window: &Metrics) -> f64 {
+    sim.metrics.merge(window);
+    CostModel::new(sim.device.config()).kernel_time_ns(window)
+}
+
+/// Run one window's kernel section under the shard's attribution scope,
+/// between the begin (`open`) and end of its `BatchFlush` span, so kernel
+/// events stay nested. The section's metrics window is merged into the
+/// caller's totals before the span closes (with 0 completed if a kernel
+/// failed). Returns the outcome and the window's roofline kernel time.
+fn flush_span<T>(
+    shard: usize,
+    open: impl FnOnce() -> obs::Event,
+    len: usize,
+    sim: &mut SimContext,
+    kernels: impl FnOnce(&mut SimContext) -> (dycuckoo::Result<T>, Metrics),
+) -> (dycuckoo::Result<T>, f64) {
+    let _attr = obs::attr::scope_with(|| format!("service/flush/shard{shard}"));
+    let recording = obs::is_enabled();
+    if recording {
+        obs::span_begin(open());
+    }
+    let (outcome, window) = kernels(sim);
+    let flush_ns = charge_window(sim, &window);
+    if recording {
+        obs::span_end(obs::Event::BatchEnd {
+            completed: if outcome.is_ok() { len as u32 } else { 0 },
+        });
+    }
+    (outcome, flush_ns)
+}
+
+/// Take the next window of at most `max_batch` requests off a queue.
+fn take_window<T>(queue: &mut VecDeque<T>, max_batch: usize) -> Vec<T> {
+    let len = queue.len().min(max_batch);
+    queue.drain(..len).collect()
+}
+
+/// The flush windows one `tick` / `flush_all` cut from one shard's queue
+/// on one tier, in flush order.
+enum Cut {
+    /// Fixed-tier windows, compiled so their kernels can run anywhere.
+    Fixed(usize, Vec<PreparedWindow>),
+    /// Byte-tier windows.
+    Bytes(usize, Vec<Vec<BytePending>>),
+}
+
+/// One fixed-tier flush window, compiled by the coordinator.
 struct PreparedWindow {
     window: Vec<Pending>,
     plan: FlushPlan,
@@ -1307,6 +1172,36 @@ type FlushKernels = (
     Vec<UpsertReport>,
     Option<dycuckoo::BatchReport>,
 );
+
+/// A fixed-tier window's kernel outcome and the isolated metrics window
+/// its kernels charged.
+type KernelRun = (dycuckoo::Result<FlushKernels>, Metrics);
+
+/// Run one compiled fixed-tier window's kernels against `table` on
+/// `ksim`, in an isolated metrics window. The only place such kernels
+/// run: inline under [`Backend::Sim`], on a worker under
+/// [`Backend::HostPar`] (thread-safe given exclusive access to both).
+fn run_window_kernels(table: &mut DyCuckoo, ksim: &mut SimContext, plan: &FlushPlan) -> KernelRun {
+    metered(ksim, |sim| {
+        let found = if plan.probes.is_empty() {
+            Vec::new()
+        } else {
+            table.find_batch(sim, &plan.probes)
+        };
+        let ins = if plan.puts.is_empty() {
+            None
+        } else {
+            Some(table.insert_batch(sim, &plan.puts)?)
+        };
+        let ups = run_rmw_waves(table, sim, &plan.rmws)?;
+        let del = if plan.deletes.is_empty() {
+            None
+        } else {
+            Some(table.delete_batch(sim, &plan.deletes)?)
+        };
+        Ok((found, ins, ups, del))
+    })
+}
 
 /// Flush a plan's RMW chains. Wave `i` holds position `i` of every key's
 /// chain, grouped by rule (stable [`MergeRule::ALL`] order) into one upsert
@@ -1339,74 +1234,23 @@ fn run_rmw_waves(
     Ok(reports)
 }
 
-/// What one window's kernels produced on a host-par worker thread.
-struct FlushKernelResult {
-    outcome: dycuckoo::Result<FlushKernels>,
-    /// The isolated metrics window the kernels charged.
-    window_metrics: gpu_sim::Metrics,
-    /// Roofline kernel time of that window.
-    flush_ns: f64,
-    /// The worker's thread-local attribution window (empty when
-    /// profiling is off).
-    attr: obs::attr::Attribution,
+/// One kernel batch of a byte-tier window.
+enum ByteRun<'a> {
+    /// A put run's pairs after coalescing, and the run's request count.
+    Put(Vec<(&'a [u8], &'a [u8])>, usize),
+    Get(Vec<&'a [u8]>),
+    Delete(Vec<&'a [u8]>),
 }
 
-/// Run one compiled window's kernels against `table` on `ksim`, charging
-/// an isolated metrics window (restored afterwards, so `ksim.metrics`
-/// is untouched). Thread-safe given exclusive access to both — this is
-/// the function host-par workers execute.
-fn run_flush_kernels(
-    table: &mut DyCuckoo,
-    ksim: &mut SimContext,
-    plan: &FlushPlan,
-    profile: bool,
-) -> FlushKernelResult {
-    if profile {
-        obs::attr::start();
-    }
-    let saved = ksim.take_metrics();
-    let run = |table: &mut DyCuckoo, sim: &mut SimContext| -> dycuckoo::Result<FlushKernels> {
-        let found = if plan.probes.is_empty() {
-            Vec::new()
-        } else {
-            table.find_batch(sim, &plan.probes)
-        };
-        let ins = if plan.puts.is_empty() {
-            None
-        } else {
-            Some(table.insert_batch(sim, &plan.puts)?)
-        };
-        let ups = run_rmw_waves(table, sim, &plan.rmws)?;
-        let del = if plan.deletes.is_empty() {
-            None
-        } else {
-            Some(table.delete_batch(sim, &plan.deletes)?)
-        };
-        Ok((found, ins, ups, del))
-    };
-    let outcome = run(table, ksim);
-    let window_metrics = ksim.take_metrics();
-    ksim.metrics = saved;
-    let flush_ns = CostModel::new(ksim.device.config()).kernel_time_ns(&window_metrics);
-    let attr = if profile {
-        obs::attr::stop()
-    } else {
-        obs::attr::Attribution::default()
-    };
-    FlushKernelResult {
-        outcome,
-        window_metrics,
-        flush_ns,
-        attr,
-    }
-}
-
-/// What one byte-tier flush window produced.
-struct ByteFlushOutcome {
-    /// One reply per window request, in submission order.
-    replies: Vec<ByteReply>,
-    /// Merged kernel reports (resizes, retries, migration work).
-    report: UnsizedReport,
+/// A byte-tier window cut into maximal runs of one op kind, each one
+/// kernel batch, executed in submission order (so a read after a write of
+/// the same key observes it). Duplicate keys inside a put run collapse to
+/// the last write (every such put still answers `Stored` — upsert
+/// semantics make the outcomes identical); duplicate gets and deletes need
+/// no dedup, the kernels serialize them.
+#[derive(Default)]
+struct BytePlan<'a> {
+    runs: Vec<ByteRun<'a>>,
     /// Keys handed to find kernels.
     probes: u64,
     /// Pairs handed to insert kernels (after put-run coalescing).
@@ -1417,89 +1261,82 @@ struct ByteFlushOutcome {
     writes_coalesced: u64,
 }
 
-/// Run a byte-tier window against `table`: maximal same-kind runs become
-/// one kernel batch each, executed in submission order. Duplicate keys
-/// inside a put run collapse to the last write (every such put still
-/// answers `Stored` — upsert semantics make the outcomes identical);
-/// duplicate gets and deletes need no dedup, the kernels serialize them.
-fn run_byte_window(
-    table: &mut UnsizedTable,
-    sim: &mut SimContext,
-    window: &[BytePending],
-) -> dycuckoo::Result<ByteFlushOutcome> {
-    fn kind(op: &ByteOp) -> u8 {
-        match op {
-            ByteOp::Put(..) => 0,
-            ByteOp::Get(_) => 1,
-            ByteOp::Delete(_) => 2,
-        }
-    }
-    let mut out = ByteFlushOutcome {
-        replies: Vec::new(),
-        report: UnsizedReport::default(),
-        probes: 0,
-        puts: 0,
-        deletes: 0,
-        writes_coalesced: 0,
-    };
-    let mut replies: Vec<Option<ByteReply>> = vec![None; window.len()];
-    let mut start = 0;
-    while start < window.len() {
-        let k = kind(&window[start].op);
-        let mut end = start;
-        while end < window.len() && kind(&window[end].op) == k {
-            end += 1;
-        }
-        match k {
-            0 => {
-                let mut pairs: Vec<(&[u8], &[u8])> = Vec::new();
-                let mut slot_of: HashMap<&[u8], usize> = HashMap::new();
-                for p in &window[start..end] {
-                    let ByteOp::Put(key, val) = &p.op else {
-                        unreachable!("run holds only puts")
-                    };
-                    match slot_of.get(key.as_slice()) {
-                        Some(&s) => {
-                            pairs[s].1 = val;
-                            out.writes_coalesced += 1;
-                        }
-                        None => {
-                            slot_of.insert(key, pairs.len());
-                            pairs.push((key, val));
+impl<'a> BytePlan<'a> {
+    fn new(window: &'a [BytePending]) -> Self {
+        let mut plan = BytePlan::default();
+        let mut rest = window;
+        while let Some(first) = rest.first() {
+            let kind = std::mem::discriminant(&first.op);
+            let len = rest
+                .iter()
+                .take_while(|p| std::mem::discriminant(&p.op) == kind)
+                .count();
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            let keys = || run.iter().map(|p| p.op.key()).collect::<Vec<_>>();
+            plan.runs.push(match first.op {
+                ByteOp::Put(..) => {
+                    let mut pairs: Vec<(&[u8], &[u8])> = Vec::new();
+                    let mut slot_of: HashMap<&[u8], usize> = HashMap::new();
+                    for p in run {
+                        let ByteOp::Put(key, val) = &p.op else {
+                            unreachable!("run holds only puts")
+                        };
+                        match slot_of.get(key.as_slice()) {
+                            Some(&s) => {
+                                pairs[s].1 = val;
+                                plan.writes_coalesced += 1;
+                            }
+                            None => {
+                                slot_of.insert(key, pairs.len());
+                                pairs.push((key, val));
+                            }
                         }
                     }
+                    plan.puts += pairs.len() as u64;
+                    ByteRun::Put(pairs, len)
                 }
-                out.puts += pairs.len() as u64;
-                out.report.merge(&table.insert_batch(sim, &pairs)?);
-                for r in &mut replies[start..end] {
-                    *r = Some(ByteReply::Stored);
+                ByteOp::Get(_) => {
+                    plan.probes += len as u64;
+                    ByteRun::Get(keys())
                 }
-            }
-            1 => {
-                let keys: Vec<&[u8]> = window[start..end].iter().map(|p| p.op.key()).collect();
-                out.probes += keys.len() as u64;
-                let found = table.find_batch(sim, &keys)?;
-                for (i, v) in (start..end).zip(found) {
-                    replies[i] = Some(ByteReply::Value(v));
+                ByteOp::Delete(_) => {
+                    plan.deletes += len as u64;
+                    ByteRun::Delete(keys())
                 }
-            }
-            _ => {
-                let keys: Vec<&[u8]> = window[start..end].iter().map(|p| p.op.key()).collect();
-                out.deletes += keys.len() as u64;
-                let (removed, report) = table.delete_batch(sim, &keys)?;
-                out.report.merge(&report);
-                for (i, r) in (start..end).zip(removed) {
-                    replies[i] = Some(ByteReply::Deleted(r));
+            });
+        }
+        plan
+    }
+
+    /// Run the plan's kernel batches against `table`: one reply per window
+    /// request in submission order, and the merged kernel reports.
+    fn run(
+        &self,
+        table: &mut UnsizedTable,
+        sim: &mut SimContext,
+    ) -> dycuckoo::Result<(Vec<ByteReply>, UnsizedReport)> {
+        let mut replies = Vec::new();
+        let mut report = UnsizedReport::default();
+        for run in &self.runs {
+            match run {
+                ByteRun::Put(pairs, len) => {
+                    report.merge(&table.insert_batch(sim, pairs)?);
+                    replies.extend(std::iter::repeat_n(ByteReply::Stored, *len));
+                }
+                ByteRun::Get(keys) => {
+                    let found = table.find_batch(sim, keys)?;
+                    replies.extend(found.into_iter().map(ByteReply::Value));
+                }
+                ByteRun::Delete(keys) => {
+                    let (removed, r) = table.delete_batch(sim, keys)?;
+                    report.merge(&r);
+                    replies.extend(removed.into_iter().map(ByteReply::Deleted));
                 }
             }
         }
-        start = end;
+        Ok((replies, report))
     }
-    out.replies = replies
-        .into_iter()
-        .map(|r| r.expect("every request answered"))
-        .collect();
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -2099,9 +1936,11 @@ mod tests {
         assert!(!comp_a.is_empty());
     }
 
-    /// Drive an identical workload through a configurable backend and
-    /// return everything observable: completions, byte completions, and
-    /// the snapshot CSV (which folds in per-shard metrics and kernel ns).
+    /// Drive an identical workload (fixed-tier puts, gets, upserts,
+    /// increments and deletes; byte-tier puts, gets and deletes) through a
+    /// configurable backend and return everything observable: completions,
+    /// byte completions, and the snapshot CSV (which folds in per-shard
+    /// metrics and kernel ns).
     fn backend_probe(backend: Backend) -> (Vec<Completion>, Vec<ByteCompletion>, String, u64) {
         let mut sim = SimContext::new();
         let mut cfg = unsized_cfg(4);
@@ -2126,6 +1965,12 @@ mod tests {
             if i % 9 == 0 {
                 let _ = svc.submit_bytes(i % 5, ByteOp::Put(bkey(i), bkey(i ^ 7)));
             }
+            if i % 10 == 0 {
+                let _ = svc.submit_bytes(i % 5, ByteOp::Get(bkey(i - 1)));
+            }
+            if i % 14 == 0 {
+                let _ = svc.submit_bytes(i % 5, ByteOp::Delete(bkey(i / 2)));
+            }
             if i % 8 == 0 {
                 svc.tick(&mut sim).unwrap();
             }
@@ -2148,6 +1993,15 @@ mod tests {
     #[test]
     fn host_par_backend_matches_sim_exactly() {
         let sim_run = backend_probe(Backend::Sim);
+        // The probe's byte gets and deletes reach live keys.
+        assert!(sim_run
+            .1
+            .iter()
+            .any(|c| matches!(c.reply, ByteReply::Value(Some(_)))));
+        assert!(sim_run
+            .1
+            .iter()
+            .any(|c| c.reply == ByteReply::Deleted(true)));
         for threads in [1usize, 2, 8] {
             let par_run = backend_probe(Backend::HostPar { threads });
             assert_eq!(par_run.0, sim_run.0, "{threads} threads: completions");

@@ -7,9 +7,12 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 use dycuckoo::hashfn::UniversalHash;
-use dycuckoo::{Config, MergeRule};
-use gpu_sim::{SchedulePolicy, SimContext};
-use kv_service::{AdmitError, KvService, Op, Reply, ServiceConfig, ShardRouter};
+use dycuckoo::{Config, MergeRule, UnsizedConfig};
+use gpu_sim::{DeviceConfig, SchedulePolicy, SimContext};
+use kv_service::{
+    AdmitError, Backend, ByteOp, Completion, KvService, Op, Reply, ServiceConfig, ShardRouter, Tier,
+};
+use obs::Event;
 
 /// A service sized so nothing is ever shed (queues exceed the op count).
 fn roomy_cfg(shards: usize, ops: usize, seed: u64) -> ServiceConfig {
@@ -366,5 +369,167 @@ fn coalesced_window_identical_across_shard_flush_orders() {
             "flush order {:?} changed visible replies",
             order
         );
+    }
+}
+
+/// A table error in one shard must not cost another shard its completions.
+/// Shard 0 takes a stream of puts until its device runs out of memory and
+/// every later flush of it fails; shard 1 only serves gets. Under every
+/// backend each request admitted to shard 1 is completed or still queued,
+/// and shard 1's completion stream is the same.
+#[test]
+fn table_error_in_one_shard_keeps_other_shards_completions() {
+    // Shard 0 first fails around tick 55 under Sim (both shards share one
+    // device) and tick 82 under HostPar (a device per shard).
+    const TICKS: u64 = 90;
+    let run = |backend: Backend| -> Vec<Completion> {
+        let mut sim = SimContext::with_config(DeviceConfig {
+            memory_bytes: 256 * 1024,
+            ..DeviceConfig::default()
+        });
+        let cfg = ServiceConfig {
+            shards: 2,
+            max_batch: 256,
+            queue_capacity: 4096,
+            shed_watermark: 4096,
+            backend,
+            ..ServiceConfig::default()
+        };
+        let mut svc = KvService::new(cfg, &mut sim).unwrap();
+        let router = *svc.router();
+        let mut keys = (1u32..).map(|k| (k, router.shard_of(k)));
+        let mut errors = 0;
+        for _ in 0..TICKS {
+            let puts: Vec<u32> = keys
+                .by_ref()
+                .filter(|&(_, s)| s == 0)
+                .map(|(k, _)| k)
+                .take(256)
+                .collect();
+            for k in puts {
+                svc.submit(0, Op::Put(k, k)).unwrap();
+            }
+            let gets: Vec<u32> = (1u32..)
+                .filter(|&k| router.shard_of(k) == 1)
+                .take(8)
+                .collect();
+            for k in gets {
+                svc.submit(1, Op::Get(k)).unwrap();
+            }
+            errors += usize::from(svc.tick(&mut sim).is_err());
+        }
+        errors += usize::from(svc.flush_all(&mut sim).is_err());
+        assert!(errors > 0, "{backend:?}: shard 0 never failed");
+        let m = &svc.metrics().per_shard[1];
+        let queued = svc.queue_depths()[1] as u64;
+        assert_eq!(m.admitted, TICKS * 8, "{backend:?}");
+        assert_eq!(
+            m.admitted,
+            m.completed + queued,
+            "{backend:?}: shard 1 lost completions to shard 0's error"
+        );
+        svc.drain_completions()
+            .into_iter()
+            .filter(|c| router.shard_of(c.key) == 1)
+            .collect()
+    };
+    let sim_run = run(Backend::Sim);
+    assert_eq!(sim_run.len() as u64, TICKS * 8);
+    for threads in [1usize, 2] {
+        assert_eq!(
+            run(Backend::HostPar { threads }),
+            sim_run,
+            "{threads} threads: shard 1 completions"
+        );
+    }
+}
+
+/// Run a mixed fixed + byte + RMW workload that ends in `flush_all` with
+/// the flight recorder and the attribution profiler armed; return the
+/// `BatchFlush` / `BatchEnd` payloads in emission order and the
+/// attribution text.
+fn flush_span_trace(backend: Backend) -> (Vec<Event>, String) {
+    let mut sim = SimContext::new();
+    let cfg = ServiceConfig {
+        shards: 4,
+        table: Config {
+            initial_buckets: 8,
+            ..Config::default()
+        },
+        max_batch: 8,
+        max_delay_ticks: 2,
+        queue_capacity: 4096,
+        shed_watermark: 4096,
+        seed: 11,
+        tier: Tier::Unsized,
+        unsized_table: UnsizedConfig {
+            n_buckets: 8,
+            ..UnsizedConfig::default()
+        },
+        miss_filter_bits: 8,
+        migration_quantum: 4,
+        backend,
+        ..ServiceConfig::default()
+    };
+    let bkey = |i: u32| format!("key-{i:05}-{}", "x".repeat((i % 3 * 8) as usize)).into_bytes();
+    let mut svc = KvService::new(cfg, &mut sim).unwrap();
+    obs::start(1 << 20);
+    obs::attr::start();
+    for i in 1..=300u32 {
+        let _ = svc.submit(i % 5, Op::Put(i, i ^ 0x5EED));
+        if i % 3 == 0 {
+            let _ = svc.submit(i % 5, Op::Get(i / 3));
+        }
+        if i % 4 == 0 {
+            let _ = svc.submit(i % 5, Op::Upsert(i % 40 + 1, i, MergeRule::Add));
+            let _ = svc.submit(i % 5, Op::Increment(i % 25 + 1));
+        }
+        if i % 7 == 0 {
+            let _ = svc.submit(i % 5, Op::Delete(i / 7));
+        }
+        if i % 2 == 0 {
+            let _ = svc.submit_bytes(i % 5, ByteOp::Put(bkey(i), bkey(i ^ 3)));
+        }
+        if i % 5 == 0 {
+            let _ = svc.submit_bytes(i % 5, ByteOp::Get(bkey(i - 2)));
+        }
+        if i % 9 == 0 {
+            let _ = svc.submit_bytes(i % 5, ByteOp::Delete(bkey(i / 2)));
+        }
+        if i % 16 == 0 {
+            svc.tick(&mut sim).unwrap();
+        }
+    }
+    assert!(svc.queue_depths().iter().filter(|&&d| d > 0).count() > 1);
+    assert!(svc.byte_queue_depths().iter().filter(|&&d| d > 0).count() > 1);
+    svc.flush_all(&mut sim).unwrap();
+    let attr = obs::attr::stop();
+    let trace = obs::stop();
+    assert_eq!(trace.dropped, 0, "recorder ring too small");
+    let spans = trace
+        .events
+        .into_iter()
+        .map(|te| te.event)
+        .filter(|e| matches!(e, Event::BatchFlush { .. } | Event::BatchEnd { .. }))
+        .collect();
+    (spans, attr.to_text())
+}
+
+/// `flush_all` emits its flush spans in the same order under every
+/// backend: each shard's fixed-tier windows, then its byte windows, shard
+/// by shard. The attribution tree is the same too.
+#[test]
+fn host_par_flush_spans_match_sim_order() {
+    let (sim_spans, sim_attr) = flush_span_trace(Backend::Sim);
+    assert!(sim_spans.len() > 100, "workload flushed too little");
+    for threads in [1usize, 2, 8] {
+        let (spans, attr) = flush_span_trace(Backend::HostPar { threads });
+        let diverge = spans.iter().zip(&sim_spans).position(|(a, b)| a != b);
+        assert_eq!(
+            (diverge, spans.len()),
+            (None, sim_spans.len()),
+            "{threads} threads: span sequences diverge"
+        );
+        assert_eq!(attr, sim_attr, "{threads} threads: attribution");
     }
 }
